@@ -73,6 +73,7 @@ mod error;
 pub mod heuristics;
 pub mod nested;
 pub mod objective;
+mod orbit;
 pub mod phase;
 pub mod portfolio;
 pub mod rate;

@@ -398,8 +398,8 @@ impl Portfolio {
         dfg: &Dfg,
         resources: &ResourceSet,
     ) -> Result<PortfolioOutcome, RotationError> {
-        // The untraced path monomorphizes over `NoopObserver`, so it is
-        // the pre-observer loop, instruction for instruction.
+        // The untraced path monomorphizes over `NoopObserver`: no event
+        // code, and its phases may skip repeated orbits.
         self.run_with(dfg, resources, |_| NoopObserver)
             .map(|(outcome, _)| outcome)
     }

@@ -418,6 +418,8 @@ pub(crate) struct PlaceScratch {
     is_free: NodeMap<bool>,
     blocking: NodeMap<u32>,
     latest: NodeMap<Option<u32>>,
+    /// Earliest start of each ready node, fixed once it becomes ready.
+    est: NodeMap<u32>,
     ready: Vec<NodeId>,
 }
 
@@ -427,6 +429,7 @@ impl PlaceScratch {
             is_free: dfg.node_map(false),
             blocking: dfg.node_map(0_u32),
             latest: dfg.node_map(None),
+            est: dfg.node_map(0_u32),
             ready: Vec::new(),
         }
     }
@@ -475,6 +478,7 @@ fn place_free_inner(
         is_free,
         blocking,
         latest,
+        est,
         ready,
     } = scratch;
 
@@ -522,6 +526,9 @@ fn place_free_inner(
     }
 
     // Earliest start from already-scheduled zero-delay predecessors.
+    // Called once per node, when it becomes ready: every free
+    // predecessor is placed by then and fixed ones never move, so the
+    // value is final and cached in `est`.
     let earliest_start = |v: NodeId, schedule: &Schedule| -> u32 {
         let mut earliest = 1;
         for i in csr.in_range(v.index()) {
@@ -534,24 +541,68 @@ fn place_free_inner(
         }
         earliest
     };
+    // Nodes boxed in by fixed successors (earliest deadline) first,
+    // then by weight. Unboxed nodes have no deadline, so plain full
+    // scheduling is unaffected. The key ends in the unique node id, so
+    // the unstable sort is deterministic and allocation-free — and
+    // re-sorting an unchanged list is a no-op, so the list is sorted
+    // only when its contents change.
+    let sort_key = |v: NodeId| {
+        (
+            latest[v].unwrap_or(u32::MAX),
+            core::cmp::Reverse(weights[v.index()]),
+            v,
+        )
+    };
 
     let mut remaining: usize = free.len();
     ready.clear();
-    ready.extend(free.iter().copied().filter(|&v| blocking[v] == 0));
+    for &v in free {
+        if blocking[v] == 0 {
+            est[v] = earliest_start(v, schedule);
+            ready.push(v);
+        }
+    }
+    ready.sort_unstable_by_key(|&v| sort_key(v));
 
     // A safe horizon: everything fits after the fixed part even fully
-    // serialized.
-    let horizon = table.horizon() + u32::try_from(dfg.total_time()).unwrap_or(u32::MAX) + 1;
+    // serialized. Zero-time nodes still take a step, so the serial
+    // length sums the clamped times.
+    let serial: u64 = times.iter().map(|&t| u64::from(t)).sum();
+    let horizon = table.horizon() + u32::try_from(serial).unwrap_or(u32::MAX) + 1;
 
-    let mut cs: u32 = 1;
-    while remaining > 0 {
-        // Steps before every ready node's earliest start place nothing —
-        // skip them wholesale. Decisions are unchanged: a node whose
-        // earliest start exceeds `cs` is passed over (and its deadline
-        // not examined) by the scan below anyway.
-        if let Some(min_earliest) = ready.iter().map(|&v| earliest_start(v, schedule)).min() {
-            cs = cs.max(min_earliest);
+    // The next step at or after `from` where a scan can do anything:
+    // the first step at or after `max(from, est)` where a ready node
+    // fits, or where its deadline has passed (which raises the box-in
+    // error), capped at `horizon + 1`. Between two scans the ready list
+    // and the table are unchanged, so every skipped step would place
+    // nothing and raise nothing — the decisions, and the node an error
+    // names, are those of a loop that visits every step.
+    let next_event = |from: u32, ready: &[NodeId], est: &NodeMap<u32>, table: &ReservationTable| {
+        let mut next = horizon.saturating_add(1);
+        for &v in ready {
+            let start = from.max(est[v]);
+            if start >= next {
+                continue;
+            }
+            let deadline = latest[v].map_or(u32::MAX, |bound| bound.saturating_add(1));
+            let limit = next.min(deadline.max(start));
+            let class_id = class_of[v];
+            let class = resources.class(class_id);
+            let time = times[v.index()];
+            let mut t = start;
+            while t < limit && !table.can_place(class_id, class.occupancy(time).map(|off| t + off))
+            {
+                t += 1;
+            }
+            next = t;
         }
+        next
+    };
+
+    let mut cs: u32 = 0;
+    while remaining > 0 {
+        cs = next_event(cs + 1, ready, est, table);
         if cs > horizon {
             let stuck = free
                 .iter()
@@ -561,26 +612,15 @@ fn place_free_inner(
             return Err(SchedError::NoFeasibleSlot { node: stuck });
         }
 
-        // Ready nodes whose precedence admits this step: nodes boxed
-        // in by fixed successors (earliest deadline) first, then by
-        // weight. Unboxed nodes have no deadline, so plain full
-        // scheduling is unaffected. The key ends in the unique node id,
-        // so the unstable sort is deterministic and allocation-free.
-        ready.sort_unstable_by_key(|&v| {
-            (
-                latest[v].unwrap_or(u32::MAX),
-                core::cmp::Reverse(weights[v.index()]),
-                v,
-            )
-        });
+        // Scan the ready nodes whose precedence admits this step, in
+        // priority order, until a whole pass places nothing.
         let mut placed_any = true;
         while placed_any {
             placed_any = false;
             let mut i = 0;
             while i < ready.len() {
                 let v = ready[i];
-                let earliest = earliest_start(v, schedule);
-                if earliest > cs {
+                if est[v] > cs {
                     i += 1;
                     continue;
                 }
@@ -591,7 +631,7 @@ fn place_free_inner(
                 }
                 let class_id = class_of[v];
                 let class = resources.class(class_id);
-                let time = dfg.node(v).time();
+                let time = times[v.index()];
                 if table.can_place(class_id, class.occupancy(time).map(|off| cs + off)) {
                     table.place(class_id, class.occupancy(time).map(|off| cs + off));
                     schedule.set(v, cs);
@@ -605,6 +645,7 @@ fn place_free_inner(
                             if is_free[w.index()] && schedule.start(w).is_none() {
                                 blocking[w] -= 1;
                                 if blocking[w] == 0 {
+                                    est[w] = earliest_start(w, schedule);
                                     ready.push(w);
                                 }
                             }
@@ -616,19 +657,15 @@ fn place_free_inner(
             }
             if placed_any {
                 // Newly unblocked nodes may also fit in this step.
-                ready.sort_unstable_by_key(|&v| {
-                    (
-                        latest[v].unwrap_or(u32::MAX),
-                        core::cmp::Reverse(weights[v.index()]),
-                        v,
-                    )
-                });
+                ready.sort_unstable_by_key(|&v| sort_key(v));
             }
         }
-        cs += 1;
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

@@ -60,6 +60,13 @@ impl Schedule {
         self.start[v] = None;
     }
 
+    /// Every node's start step in node-index order (`None` where
+    /// unscheduled) — a flat view for hashing and comparing schedules.
+    #[must_use]
+    pub fn starts(&self) -> &[Option<u32>] {
+        self.start.as_slice()
+    }
+
     /// Whether every node is scheduled.
     #[must_use]
     pub fn is_complete(&self) -> bool {

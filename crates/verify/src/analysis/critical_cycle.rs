@@ -191,8 +191,15 @@ pub(crate) fn run(ctx: &AnalysisContext<'_>, report: &mut AnalysisReport) {
     // The exact ratio's ceiling IS the recurrence bound (the property
     // suite proves the agreement); seed the shared cell so no other
     // pass re-runs the Bellman–Ford binary search. `recurrence_bound`
-    // reports bounds past u32::MAX − 1 as None — mirror that here.
-    ctx.seed_recurrence(u32::try_from(bound).ok().filter(|&b| b < u32::MAX));
+    // reports bounds past u32::MAX − 1 as None and floors at L ≥ 1 (a
+    // zero-time cycle's ratio 0 still leaves every kernel one step) —
+    // mirror both here.
+    ctx.seed_recurrence(
+        u32::try_from(bound)
+            .ok()
+            .filter(|&b| b < u32::MAX)
+            .map(|b| b.max(1)),
+    );
     let head = nodes.first().copied().unwrap_or(0);
     report.findings.push(
         Diagnostic::new(

@@ -263,6 +263,7 @@ pub fn analyze_in_order(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rotsched_dfg::rng::SplitMix64;
     use rotsched_dfg::OpKind;
 
     fn iir() -> Dfg {
@@ -343,6 +344,80 @@ mod tests {
         assert!(report.chains.is_none());
         let _ = report.render_json(&g);
         let _ = report.render_text(&g);
+    }
+
+    /// The critical-cycle pass's recurrence hint is a cache fill: on a
+    /// seeded corpus of cyclic graphs — a third of them all zero-time,
+    /// so their cycles have ratio 0 — it must equal the bound recomputed
+    /// from scratch, and lint, which `debug_assert`s the hint, must
+    /// accept it.
+    #[test]
+    fn recurrence_hint_equals_the_recomputed_bound() {
+        let spec = ResourceSpec::unlimited();
+        let mut zero_time_cycles = 0;
+        for seed in 0..300_u64 {
+            let mut rng = SplitMix64::new(0x2E50 ^ seed);
+            let zero_share = [0.0, 0.5, 1.0][rng.index(3)];
+            let n = rng.range_u32(1, 7) as usize;
+            let mut g = Dfg::new("hint");
+            let ids: Vec<_> = (0..n)
+                .map(|i| {
+                    let time = if rng.chance(zero_share) {
+                        0
+                    } else {
+                        rng.range_u32(1, 4)
+                    };
+                    g.add_node(format!("v{i}"), OpKind::Add, time)
+                })
+                .collect();
+            // A ring through every node carrying at least one delay,
+            // plus forward chords and delayed back edges.
+            for i in 0..n {
+                let delays = if i + 1 == n {
+                    rng.range_u32(1, 3)
+                } else {
+                    rng.range_u32(0, 1)
+                };
+                g.add_edge(ids[i], ids[(i + 1) % n], delays).unwrap();
+            }
+            for i in 0..n {
+                for j in i + 1..n {
+                    if rng.chance(0.2) {
+                        g.add_edge(ids[i], ids[j], rng.range_u32(0, 2)).unwrap();
+                    }
+                    if rng.chance(0.2) {
+                        g.add_edge(ids[j], ids[i], rng.range_u32(1, 3)).unwrap();
+                    }
+                }
+            }
+            let cache = TraversalCache::build(&g, None);
+            let ctx = AnalysisContext {
+                dfg: &g,
+                spec: &spec,
+                schedule: None,
+                cache: &cache,
+                recurrence: std::cell::OnceCell::new(),
+            };
+            let mut report = AnalysisReport::new(&g);
+            critical_cycle::run(&ctx, &mut report);
+            assert_eq!(
+                ctx.recurrence.get().copied(),
+                Some(crate::bound::recurrence_bound(&g)),
+                "seed {seed}: a cyclic graph seeds the recomputed bound"
+            );
+            if report
+                .critical_cycle
+                .as_ref()
+                .is_some_and(|c| c.total_time == 0)
+            {
+                zero_time_cycles += 1;
+            }
+            let _ = analyze(&g, &spec, None);
+        }
+        assert!(
+            zero_time_cycles > 20,
+            "only {zero_time_cycles} zero-time critical cycles"
+        );
     }
 }
 

@@ -360,11 +360,12 @@ fn analyze_json_is_byte_stable_across_runs() {
 
 /// A multiplier-only recurrence: clean even under `--adders 0`, while
 /// the adder-bearing fixtures raise `E005` there — the mix that shows
-/// worst-of exit aggregation.
-fn muls_only_file() -> std::path::PathBuf {
+/// worst-of exit aggregation. Each test passes its own `file` name:
+/// tests run in parallel, and a shared path could be read mid-rewrite.
+fn muls_only_file(file: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("rotsched-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("muls-only.dfg");
+    let path = dir.join(file);
     std::fs::write(
         &path,
         "dfg muls-only\nnode a mul 2\nnode b mul 2\nedge a b 1\nedge b a 1\n",
@@ -375,7 +376,7 @@ fn muls_only_file() -> std::path::PathBuf {
 
 #[test]
 fn analyze_takes_several_files_and_exits_with_the_worst() {
-    let clean = muls_only_file();
+    let clean = muls_only_file("muls-only-analyze.dfg");
     let failing = fixture("differential-equation");
     // Alone, the mult-only graph is clean under these flags.
     let (_, _, code) = run_code(&["analyze", clean.to_str().unwrap(), "--adders", "0"]);
@@ -403,7 +404,7 @@ fn analyze_takes_several_files_and_exits_with_the_worst() {
 
 #[test]
 fn lint_takes_several_files_and_exits_with_the_worst() {
-    let clean = muls_only_file();
+    let clean = muls_only_file("muls-only-lint.dfg");
     let failing = fixture("differential-equation");
     let (stdout, _, code) = run_code(&["lint", clean.to_str().unwrap(), &failing, "--adders", "0"]);
     assert_eq!(code, 5, "worst exit code wins: {stdout}");
