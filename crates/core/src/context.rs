@@ -203,17 +203,13 @@ impl RotationContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::ring;
     use crate::rotate::{down_rotate, initial_state};
     use rotsched_dfg::{DfgBuilder, OpKind};
 
     #[test]
     fn context_rotations_match_the_from_scratch_operator() {
-        let g = DfgBuilder::new("ring")
-            .nodes("v", 5, OpKind::Add, 1)
-            .chain(&["v0", "v1", "v2", "v3", "v4"])
-            .edge("v4", "v0", 2)
-            .build()
-            .unwrap();
+        let g = ring(5, 2);
         let sched = ListScheduler::default();
         let res = ResourceSet::adders_multipliers(2, 0, false);
         let mut incremental = initial_state(&g, &sched, &res).unwrap();

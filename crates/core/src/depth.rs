@@ -95,20 +95,9 @@ pub fn minimized_depth(dfg: &Dfg, state: &RotationState) -> Result<u32, Rotation
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::ring;
     use crate::rotate::{down_rotate, initial_state};
-    use rotsched_dfg::{DfgBuilder, OpKind};
     use rotsched_sched::{simulate, ListScheduler};
-
-    fn ring(n: usize, delays: u32) -> Dfg {
-        let names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        DfgBuilder::new("ring")
-            .nodes("v", n, OpKind::Add, 1)
-            .chain(&refs)
-            .edge(&format!("v{}", n - 1), "v0", delays)
-            .build()
-            .unwrap()
-    }
 
     #[test]
     fn many_rotations_accumulate_depth_but_minimization_collapses_it() {

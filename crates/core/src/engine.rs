@@ -19,12 +19,13 @@
 //!   [`TraceRecorder`](crate::trace::TraceRecorder) turns the same run
 //!   into convergence telemetry.
 //!
-//! The paper's Heuristic 1 and Heuristic 2 (DAC 1993 §5) are sweep
-//! policies *over* this one loop; [`SearchDriver::heuristic1`] and
-//! [`SearchDriver::heuristic2`] implement them, and every legacy entry
-//! point (`rotation_phase*`, `heuristic1*`, `heuristic2*`) is a thin
-//! wrapper over a driver. Results are bit-identical to the pre-engine
-//! code paths — enforced by the `seeded_incremental`,
+//! The paper's three search procedures (DAC 1993 §5) are methods of
+//! this one driver: [`SearchDriver::run_phase`] is `RotationPhase(i, α)`,
+//! and [`SearchDriver::heuristic1`] and [`SearchDriver::heuristic2`] are
+//! sweep policies over it. The driver and the
+//! [`RotationScheduler`](crate::RotationScheduler) facade built on it are
+//! the only search entry points. Results are bit-identical to the
+//! pre-engine code paths — enforced by the `seeded_incremental`,
 //! `seeded_portfolio`, and `seeded_anytime` suites and the byte-stable
 //! bench tables.
 
@@ -318,28 +319,19 @@ pub struct SearchDriver<'a, S, O = NoopObserver> {
     pub observer: O,
 }
 
-impl<'a> SearchDriver<'a, IncrementalStep, NoopObserver> {
-    /// A driver on the incremental step mode (the production path).
-    #[must_use]
-    pub fn incremental(
-        dfg: &'a Dfg,
-        scheduler: &'a ListScheduler,
-        resources: &'a ResourceSet,
-    ) -> Self {
-        Self::incremental_with_step(dfg, scheduler, resources, IncrementalStep::default())
-    }
-
-    /// A driver reusing an existing [`IncrementalStep`] — its pooled
-    /// buffers stay warm across drivers, which is how
+impl<'a, S: StepMode> SearchDriver<'a, S, NoopObserver> {
+    /// A driver on an existing step mode. Passing an [`IncrementalStep`]
+    /// that already served another driver keeps its pooled buffers warm,
+    /// which is how
     /// [`solve_batch`](crate::RotationScheduler::solve_batch) amortizes
-    /// per-item setup. Reclaim the step afterwards with
+    /// per-item setup; reclaim the step afterwards with
     /// [`SearchDriver::into_step`].
     #[must_use]
-    pub fn incremental_with_step(
+    pub fn with_step(
         dfg: &'a Dfg,
         scheduler: &'a ListScheduler,
         resources: &'a ResourceSet,
-        step: IncrementalStep,
+        step: S,
     ) -> Self {
         SearchDriver {
             dfg,
@@ -356,6 +348,18 @@ impl<'a> SearchDriver<'a, IncrementalStep, NoopObserver> {
     }
 }
 
+impl<'a> SearchDriver<'a, IncrementalStep, NoopObserver> {
+    /// A driver on the incremental step mode (the production path).
+    #[must_use]
+    pub fn incremental(
+        dfg: &'a Dfg,
+        scheduler: &'a ListScheduler,
+        resources: &'a ResourceSet,
+    ) -> Self {
+        Self::with_step(dfg, scheduler, resources, IncrementalStep::default())
+    }
+}
+
 impl<'a> SearchDriver<'a, ScratchStep, NoopObserver> {
     /// A driver on the from-scratch step mode (the reference arm).
     #[must_use]
@@ -364,18 +368,7 @@ impl<'a> SearchDriver<'a, ScratchStep, NoopObserver> {
         scheduler: &'a ListScheduler,
         resources: &'a ResourceSet,
     ) -> Self {
-        SearchDriver {
-            dfg,
-            scheduler,
-            resources,
-            prune: None,
-            budget: None,
-            step: ScratchStep::default(),
-            objective: Objective::Length,
-            wrap: None,
-            orbit: OrbitLog::default(),
-            observer: NoopObserver,
-        }
+        Self::with_step(dfg, scheduler, resources, ScratchStep::default())
     }
 }
 
@@ -429,7 +422,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     }
 
     /// Consumes the driver, handing back its step mode with every pooled
-    /// buffer intact (see [`SearchDriver::incremental_with_step`]).
+    /// buffer intact (see [`SearchDriver::with_step`]).
     #[must_use]
     pub fn into_step(self) -> S {
         self.step
@@ -438,8 +431,8 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
     /// Runs `RotationPhase(S_init, L_opt, Q, G, i, α)` — `alpha`
     /// rotations of size `size` on `state`, halving the effective size
     /// whenever it reaches the schedule length, recording improvements
-    /// into `best`. This is the paper's one core loop; every public
-    /// phase/heuristic entry point reduces to calls of this method.
+    /// into `best`. This is the paper's one core loop; both heuristics
+    /// and every portfolio worker reduce to calls of this method.
     ///
     /// **Orbit fast-forward.** The phase's state sequence is eventually
     /// periodic (see DESIGN.md §9). When the observer does not observe
@@ -665,6 +658,24 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         }
     }
 
+    /// The prologue both heuristics share: the initial list schedule,
+    /// offered as the first incumbent of a fresh best set, and the
+    /// largest phase size `β`.
+    fn start(
+        &mut self,
+        config: &HeuristicConfig,
+    ) -> Result<(RotationState, BestSet, u32), RotationError> {
+        let init = initial_state(self.dfg, self.scheduler, self.resources)?;
+        let mut best = BestSet::new(config.keep_best);
+        let wrapped = init.wrapped_length(self.dfg, self.resources)?;
+        self.offer(&mut best, wrapped, &init);
+        let beta = config
+            .max_size
+            .unwrap_or_else(|| init.length(self.dfg))
+            .max(1);
+        Ok((init, best, beta))
+    }
+
     /// Heuristic 1: independent phases of sizes `1..=β`, each restarting
     /// from the initial schedule and the zero rotation function. A fired
     /// budget ends the current phase at its cancellation point and skips
@@ -677,15 +688,7 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         &mut self,
         config: &HeuristicConfig,
     ) -> Result<HeuristicOutcome, RotationError> {
-        let init = initial_state(self.dfg, self.scheduler, self.resources)?;
-        let mut best = BestSet::new(config.keep_best);
-        let wrapped = init.wrapped_length(self.dfg, self.resources)?;
-        self.offer(&mut best, wrapped, &init);
-
-        let beta = config
-            .max_size
-            .unwrap_or_else(|| init.length(self.dfg))
-            .max(1);
+        let (init, mut best, beta) = self.start(config)?;
         let mut phases = Vec::new();
         for size in 1..=beta {
             let mut state = init.clone();
@@ -718,17 +721,8 @@ impl<'a, S: StepMode, O: SearchObserver> SearchDriver<'a, S, O> {
         &mut self,
         config: &HeuristicConfig,
     ) -> Result<HeuristicOutcome, RotationError> {
-        let init = initial_state(self.dfg, self.scheduler, self.resources)?;
-        let mut best = BestSet::new(config.keep_best);
-        let wrapped = init.wrapped_length(self.dfg, self.resources)?;
-        self.offer(&mut best, wrapped, &init);
-
-        let beta = config
-            .max_size
-            .unwrap_or_else(|| init.length(self.dfg))
-            .max(1);
+        let (mut state, mut best, beta) = self.start(config)?;
         let mut phases = Vec::new();
-        let mut state = init;
         'sweep: for _round in 0..config.rounds.max(1) {
             for size in (1..=beta).rev() {
                 if self.prune.is_some_and(|p| p.should_stop(best.score)) {
@@ -776,20 +770,7 @@ fn effective_size(size: u32, length: u32) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heuristics::{heuristic2, heuristic2_reference};
-    use crate::phase::rotation_phase;
-    use rotsched_dfg::{DfgBuilder, OpKind};
-
-    fn ring(n: usize, delays: u32) -> Dfg {
-        let names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        DfgBuilder::new("ring")
-            .nodes("v", n, OpKind::Add, 1)
-            .chain(&refs)
-            .edge(&format!("v{}", n - 1), "v0", delays)
-            .build()
-            .unwrap()
-    }
+    use crate::fixtures::{config, ring};
 
     /// An observer that counts events by kind, for structural checks.
     #[derive(Default)]
@@ -845,13 +826,10 @@ mod tests {
         let g = ring(7, 2);
         let sched = ListScheduler::default();
         let res = ResourceSet::adders_multipliers(2, 0, false);
-        let config = HeuristicConfig {
-            rotations_per_phase: 16,
-            max_size: None,
-            keep_best: 8,
-            rounds: 1,
-        };
-        let plain = heuristic2(&g, &sched, &res, &config).unwrap();
+        let config = config();
+        let plain = SearchDriver::incremental(&g, &sched, &res)
+            .heuristic2(&config)
+            .unwrap();
         let mut driver =
             SearchDriver::incremental(&g, &sched, &res).with_observer(Counter::default());
         let observed = driver.heuristic2(&config).unwrap();
@@ -872,47 +850,15 @@ mod tests {
         let g = ring(6, 3);
         let sched = ListScheduler::default();
         let res = ResourceSet::adders_multipliers(2, 0, false);
-        let config = HeuristicConfig {
-            rotations_per_phase: 16,
-            max_size: None,
-            keep_best: 8,
-            rounds: 1,
-        };
+        let config = config();
         let fast = SearchDriver::incremental(&g, &sched, &res)
             .heuristic2(&config)
             .unwrap();
-        let slow = heuristic2_reference(&g, &sched, &res, &config, None).unwrap();
+        let slow = SearchDriver::reference(&g, &sched, &res)
+            .heuristic2(&config)
+            .unwrap();
         assert_eq!(fast.best_length, slow.best_length);
         assert_eq!(fast.best, slow.best);
         assert_eq!(fast.phases, slow.phases);
-    }
-
-    #[test]
-    fn driver_phase_matches_the_legacy_wrapper() {
-        let g = ring(5, 2);
-        let sched = ListScheduler::default();
-        let res = ResourceSet::adders_multipliers(2, 0, false);
-        for size in 1..=3 {
-            let mut st_wrapper = initial_state(&g, &sched, &res).unwrap();
-            let mut st_driver = st_wrapper.clone();
-            let mut best_wrapper = BestSet::new(8);
-            let mut best_driver = BestSet::new(8);
-            let a = rotation_phase(
-                &g,
-                &sched,
-                &res,
-                &mut st_wrapper,
-                &mut best_wrapper,
-                size,
-                8,
-            )
-            .unwrap();
-            let b = SearchDriver::incremental(&g, &sched, &res)
-                .run_phase(&mut st_driver, &mut best_driver, size, 8)
-                .unwrap();
-            assert_eq!(a, b);
-            assert_eq!(st_wrapper, st_driver);
-            assert_eq!(best_wrapper.schedules, best_driver.schedules);
-        }
     }
 }

@@ -46,20 +46,23 @@
 //! * [`arena`] — [`BufferPool`]/[`SolveArena`]: recycled scratch
 //!   buffers behind the steady-state zero-allocation guarantee and
 //!   [`RotationScheduler::solve_batch`]'s cross-item reuse.
-//! * [`engine`] — the unified [`SearchDriver`]: one instrumented loop
-//!   (step mode × prune × budget × observer) behind every phase,
-//!   heuristic, and portfolio worker.
+//! * [`engine`] — the unified [`SearchDriver`], the one search entry
+//!   point: one instrumented loop (step mode × prune × budget ×
+//!   observer) running the paper's rotation phase and both heuristics
+//!   for every caller and portfolio worker.
 //! * [`trace`] — [`TraceRecorder`]/[`SearchTrace`]: ring-buffered
 //!   convergence telemetry over driver events (`rotsched solve
 //!   --trace`).
-//! * [`phase`] — rotation phases with best-set tracking (Section 5).
-//! * [`heuristics`] — Heuristic 1 (independent phases) and Heuristic 2
-//!   (chained, decreasing sizes) behind the paper's tables.
+//! * [`phase`] — the best set `Q` and per-phase statistics of a
+//!   rotation phase (Section 5), run by [`SearchDriver::run_phase`].
+//! * [`heuristics`] — configuration and outcome of Heuristic 1
+//!   (independent phases) and Heuristic 2 (chained, decreasing sizes),
+//!   run by [`SearchDriver::heuristic1`] and [`SearchDriver::heuristic2`].
 //! * [`portfolio`] — deterministic parallel portfolio search over many
 //!   independent configurations, with lower-bound-based pruning.
 //! * [`depth`] — pipeline-depth minimization via the shortest-path dual
 //!   (Section 3.2, Theorem 2, Lemma 3) and loop-schedule expansion.
-//! * [`RotationScheduler`] — the high-level facade.
+//! * [`RotationScheduler`] — the high-level facade over the driver.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -70,6 +73,8 @@ pub mod context;
 pub mod depth;
 pub mod engine;
 mod error;
+#[cfg(test)]
+mod fixtures;
 pub mod heuristics;
 pub mod nested;
 pub mod objective;
@@ -90,14 +95,9 @@ pub use engine::{
     IncrementalStep, NoopObserver, ScratchStep, SearchDriver, SearchEvent, SearchObserver, StepMode,
 };
 pub use error::RotationError;
-pub use heuristics::{
-    heuristic1, heuristic1_budgeted, heuristic2, heuristic2_pruned, heuristic2_reference,
-    HeuristicConfig, HeuristicOutcome,
-};
+pub use heuristics::{HeuristicConfig, HeuristicOutcome};
 pub use objective::{Objective, Score};
-pub use phase::{
-    rotation_phase, rotation_phase_pruned, rotation_phase_reference, BestSet, PhaseStats,
-};
+pub use phase::{BestSet, PhaseStats};
 pub use portfolio::{
     effective_jobs, parallel_indexed, parallel_indexed_isolated, IsolatedResult, Portfolio,
     PortfolioOutcome, PruneSignal, SearchTask, SharedBound, TaskOutcome, TaskReport,

@@ -6,16 +6,19 @@
 //! (a rotation of the full schedule is illegal). The phase maintains the
 //! shortest length seen (`L_opt`) and the set `Q` of distinct schedules
 //! achieving it.
+//!
+//! The phase itself runs as [`SearchDriver::run_phase`]; this module
+//! holds the best set `Q` and the per-phase statistics.
+//!
+//! [`SearchDriver::run_phase`]: crate::engine::SearchDriver::run_phase
+
+use std::borrow::Cow;
 
 use rotsched_dfg::rng::Fnv64;
-use rotsched_dfg::Dfg;
-use rotsched_sched::{ListScheduler, ResourceSet, Schedule};
+use rotsched_sched::Schedule;
 
-use crate::budget::{BudgetMeter, StopReason};
-use crate::engine::SearchDriver;
-use crate::error::RotationError;
+use crate::budget::StopReason;
 use crate::objective::Score;
-use crate::portfolio::PruneSignal;
 use crate::rotate::RotationState;
 
 /// A schedule achieving the best known length, with its rotation
@@ -35,16 +38,6 @@ fn schedule_fingerprint(schedule: &Schedule) -> u64 {
         h.write_u32(cs);
     }
     h.finish()
-}
-
-/// How an offered state relates to the current best set.
-enum Admission {
-    /// Worse than the best, a duplicate, or a tie with the set full.
-    Reject,
-    /// Ties the best and is new; carries the precomputed fingerprint.
-    Tie(u64),
-    /// Strictly improves the best; carries the precomputed fingerprint.
-    Improve(u64),
 }
 
 /// The set of best schedules found so far (`Q` in the paper), with the
@@ -83,31 +76,6 @@ impl BestSet {
         self.score.length()
     }
 
-    /// Classifies an offer without cloning anything. Fingerprints are
-    /// computed only when the offer can actually be admitted.
-    fn admission(&self, score: Score, schedule: &Schedule) -> Admission {
-        if score > self.score {
-            return Admission::Reject;
-        }
-        if score < self.score {
-            return Admission::Improve(schedule_fingerprint(schedule));
-        }
-        if self.schedules.len() >= self.capacity {
-            return Admission::Reject;
-        }
-        let fp = schedule_fingerprint(schedule);
-        let duplicate = self
-            .fingerprints
-            .iter()
-            .zip(&self.schedules)
-            .any(|(&f, s)| f == fp && s.schedule == *schedule);
-        if duplicate {
-            Admission::Reject
-        } else {
-            Admission::Tie(fp)
-        }
-    }
-
     /// Offers a state with the given packed score; keeps it when it
     /// ties or improves the best, dropping worse ones. Returns `true`
     /// when the offer strictly improved the best score.
@@ -126,22 +94,7 @@ impl BestSet {
     /// common case inside a rotation phase) cost a fingerprint at most.
     #[must_use = "the return value reports whether the best score strictly improved"]
     pub fn offer(&mut self, score: Score, state: &RotationState) -> bool {
-        match self.admission(score, &state.schedule) {
-            Admission::Reject => false,
-            Admission::Tie(fp) => {
-                self.schedules.push(state.clone());
-                self.fingerprints.push(fp);
-                false
-            }
-            Admission::Improve(fp) => {
-                self.score = score;
-                self.schedules.clear();
-                self.fingerprints.clear();
-                self.schedules.push(state.clone());
-                self.fingerprints.push(fp);
-                true
-            }
-        }
+        self.admit(score, Cow::Borrowed(state))
     }
 
     /// Like [`BestSet::offer`] but takes ownership of the state, so
@@ -150,22 +103,39 @@ impl BestSet {
     /// [`BestSet::offer`].
     #[must_use = "the return value reports whether the best score strictly improved"]
     pub fn offer_owned(&mut self, score: Score, state: RotationState) -> bool {
-        match self.admission(score, &state.schedule) {
-            Admission::Reject => false,
-            Admission::Tie(fp) => {
-                self.schedules.push(state);
-                self.fingerprints.push(fp);
-                false
-            }
-            Admission::Improve(fp) => {
-                self.score = score;
-                self.schedules.clear();
-                self.fingerprints.clear();
-                self.schedules.push(state);
-                self.fingerprints.push(fp);
-                true
-            }
+        self.admit(score, Cow::Owned(state))
+    }
+
+    /// The admission rule behind [`BestSet::offer`] and
+    /// [`BestSet::offer_owned`]. A borrowed state is cloned only once it
+    /// is admitted, and the fingerprint is computed only when the offer
+    /// can be admitted at all.
+    fn admit(&mut self, score: Score, state: Cow<'_, RotationState>) -> bool {
+        if score > self.score {
+            return false;
         }
+        let improved = score < self.score;
+        if !improved && self.schedules.len() >= self.capacity {
+            return false;
+        }
+        let fp = schedule_fingerprint(&state.schedule);
+        if !improved
+            && self
+                .fingerprints
+                .iter()
+                .zip(&self.schedules)
+                .any(|(&f, s)| f == fp && s.schedule == state.schedule)
+        {
+            return false;
+        }
+        if improved {
+            self.score = score;
+            self.schedules.clear();
+            self.fingerprints.clear();
+        }
+        self.schedules.push(state.into_owned());
+        self.fingerprints.push(fp);
+        improved
     }
 
     /// Merges another best set into this one (used when joining portfolio
@@ -210,122 +180,18 @@ pub struct PhaseStats {
     pub stopped: Option<StopReason>,
 }
 
-/// Runs `RotationPhase(S_init, L_opt, Q, G, i, α)`: `alpha` rotations of
-/// size `i` starting from `state`, halving the effective size whenever it
-/// reaches the schedule length.
-///
-/// `state` is advanced in place; improvements are recorded into `best`.
-/// Lengths are measured as *wrapped* lengths (Section 4's definition).
-///
-/// # Errors
-///
-/// Propagates scheduling failures. Invalid sizes cannot occur: the size
-/// is halved below the schedule length first, and a schedule of length 1
-/// terminates the phase early.
-pub fn rotation_phase(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    state: &mut RotationState,
-    best: &mut BestSet,
-    size: u32,
-    alpha: usize,
-) -> Result<PhaseStats, RotationError> {
-    rotation_phase_pruned(
-        dfg, scheduler, resources, state, best, size, alpha, None, None,
-    )
-}
-
-/// [`rotation_phase`] with an optional portfolio pruning signal and an
-/// optional armed [`Budget`](crate::Budget): the phase publishes its
-/// best length after every rotation and stops as soon as the signal
-/// says further work is pointless (the best reached the combined lower
-/// bound, or a lower-indexed portfolio task did), or as soon as the
-/// budget meter fires. A budget stop is recorded in
-/// [`PhaseStats::stopped`]; the state and best set always hold complete,
-/// legal schedules — no rotation is abandoned halfway.
-///
-/// With `prune = None` and `budget = None` this is exactly
-/// [`rotation_phase`].
-///
-/// The phase's rotations run through a
-/// [`RotationContext`](crate::RotationContext) built from the starting
-/// state, so per-step work is proportional to the rotated prefix rather
-/// than the graph. Each caller (portfolio worker) gets its own context;
-/// the results are bit-identical to [`rotation_phase_reference`].
-///
-/// This is a thin wrapper over
-/// [`SearchDriver::run_phase`] on the incremental step mode.
-///
-/// # Errors
-///
-/// See [`rotation_phase`].
-#[allow(clippy::too_many_arguments)]
-pub fn rotation_phase_pruned(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    state: &mut RotationState,
-    best: &mut BestSet,
-    size: u32,
-    alpha: usize,
-    prune: Option<&PruneSignal<'_>>,
-    budget: Option<&BudgetMeter>,
-) -> Result<PhaseStats, RotationError> {
-    SearchDriver::incremental(dfg, scheduler, resources)
-        .with_prune(prune)
-        .with_budget(budget)
-        .run_phase(state, best, size, alpha)
-}
-
-/// The from-scratch twin of [`rotation_phase_pruned`]: identical search,
-/// but every rotation uses the non-incremental
-/// [`down_rotate`](crate::rotate::down_rotate) operator. Kept as the
-/// reference arm for equivalence tests and the `rotation_step`
-/// before/after benchmark.
-///
-/// This is a thin wrapper over
-/// [`SearchDriver::run_phase`] on the scratch step mode.
-///
-/// # Errors
-///
-/// See [`rotation_phase`].
-#[allow(clippy::too_many_arguments)]
-pub fn rotation_phase_reference(
-    dfg: &Dfg,
-    scheduler: &ListScheduler,
-    resources: &ResourceSet,
-    state: &mut RotationState,
-    best: &mut BestSet,
-    size: u32,
-    alpha: usize,
-    prune: Option<&PruneSignal<'_>>,
-    budget: Option<&BudgetMeter>,
-) -> Result<PhaseStats, RotationError> {
-    SearchDriver::reference(dfg, scheduler, resources)
-        .with_prune(prune)
-        .with_budget(budget)
-        .run_phase(state, best, size, alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SearchDriver;
+    use crate::fixtures::ring;
     use crate::rotate::initial_state;
-    use rotsched_dfg::{DfgBuilder, OpKind};
-
-    fn ring(delays: u32) -> Dfg {
-        DfgBuilder::new("ring")
-            .nodes("v", 4, OpKind::Add, 1)
-            .chain(&["v0", "v1", "v2", "v3"])
-            .edge("v3", "v0", delays)
-            .build()
-            .unwrap()
-    }
+    use rotsched_dfg::Dfg;
+    use rotsched_sched::{ListScheduler, ResourceSet};
 
     fn setup() -> (Dfg, ListScheduler, ResourceSet) {
         (
-            ring(2),
+            ring(4, 2),
             ListScheduler::default(),
             ResourceSet::adders_multipliers(2, 0, false),
         )
@@ -344,7 +210,9 @@ mod tests {
             &st
         ));
         assert_eq!(best.length(), 4);
-        let stats = rotation_phase(&g, &sched, &res, &mut st, &mut best, 1, 8).unwrap();
+        let stats = SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st, &mut best, 1, 8)
+            .unwrap();
         assert_eq!(stats.rotations, 8);
         assert!(best.length() <= 3, "size-1 rotation improves 4 -> 3");
     }
@@ -360,7 +228,9 @@ mod tests {
             Score::from_length(st.wrapped_length(&g, &res).unwrap()),
             &st
         ));
-        rotation_phase(&g, &sched, &res, &mut st, &mut best, 2, 8).unwrap();
+        SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st, &mut best, 2, 8)
+            .unwrap();
         assert_eq!(best.length(), 2, "iteration bound 4/2 = 2");
     }
 
@@ -371,7 +241,9 @@ mod tests {
         let mut best = BestSet::new(8);
         // Size 100 >> length 4: must halve to below the length and still
         // perform rotations.
-        let stats = rotation_phase(&g, &sched, &res, &mut st, &mut best, 100, 4).unwrap();
+        let stats = SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st, &mut best, 100, 4)
+            .unwrap();
         assert_eq!(stats.rotations, 4);
         assert!(best.length() <= 4);
     }
@@ -454,20 +326,12 @@ mod tests {
             let mut st_ref = st_ctx.clone();
             let mut best_ctx = BestSet::new(8);
             let mut best_ref = BestSet::new(8);
-            let stats_ctx =
-                rotation_phase(&g, &sched, &res, &mut st_ctx, &mut best_ctx, size, 8).unwrap();
-            let stats_ref = rotation_phase_reference(
-                &g,
-                &sched,
-                &res,
-                &mut st_ref,
-                &mut best_ref,
-                size,
-                8,
-                None,
-                None,
-            )
-            .unwrap();
+            let stats_ctx = SearchDriver::incremental(&g, &sched, &res)
+                .run_phase(&mut st_ctx, &mut best_ctx, size, 8)
+                .unwrap();
+            let stats_ref = SearchDriver::reference(&g, &sched, &res)
+                .run_phase(&mut st_ref, &mut best_ref, size, 8)
+                .unwrap();
             assert_eq!(stats_ctx, stats_ref);
             assert_eq!(st_ctx, st_ref);
             assert_eq!(best_ctx.score, best_ref.score);
@@ -482,24 +346,18 @@ mod tests {
         // Unlimited run as the reference trace.
         let mut st_full = initial_state(&g, &sched, &res).unwrap();
         let mut best_full = BestSet::new(8);
-        let full = rotation_phase(&g, &sched, &res, &mut st_full, &mut best_full, 1, 8).unwrap();
+        let full = SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st_full, &mut best_full, 1, 8)
+            .unwrap();
         // Budget of k rotations reproduces exactly the first k lengths.
         for k in 0..=full.rotations {
             let meter = Budget::default().with_max_rotations(k as u64).arm();
             let mut st = initial_state(&g, &sched, &res).unwrap();
             let mut best = BestSet::new(8);
-            let stats = rotation_phase_pruned(
-                &g,
-                &sched,
-                &res,
-                &mut st,
-                &mut best,
-                1,
-                8,
-                None,
-                Some(&meter),
-            )
-            .unwrap();
+            let stats = SearchDriver::incremental(&g, &sched, &res)
+                .with_budget(Some(&meter))
+                .run_phase(&mut st, &mut best, 1, 8)
+                .unwrap();
             assert_eq!(stats.rotations, k);
             assert_eq!(stats.lengths, full.lengths[..k]);
             if k < full.rotations {
@@ -521,18 +379,10 @@ mod tests {
             Score::from_length(st.wrapped_length(&g, &res).unwrap()),
             &st
         ));
-        let stats = rotation_phase_pruned(
-            &g,
-            &sched,
-            &res,
-            &mut st,
-            &mut best,
-            2,
-            8,
-            None,
-            Some(&meter),
-        )
-        .unwrap();
+        let stats = SearchDriver::incremental(&g, &sched, &res)
+            .with_budget(Some(&meter))
+            .run_phase(&mut st, &mut best, 2, 8)
+            .unwrap();
         assert_eq!(stats.rotations, 0);
         assert_eq!(stats.stopped, Some(StopReason::Cancelled));
         assert_eq!(best.length(), 4, "pre-cancel incumbent survives");
@@ -543,7 +393,9 @@ mod tests {
         let (g, sched, res) = setup();
         let mut st = initial_state(&g, &sched, &res).unwrap();
         let mut best = BestSet::new(4);
-        let stats = rotation_phase(&g, &sched, &res, &mut st, &mut best, 1, 5).unwrap();
+        let stats = SearchDriver::incremental(&g, &sched, &res)
+            .run_phase(&mut st, &mut best, 1, 5)
+            .unwrap();
         assert_eq!(stats.lengths.len(), stats.rotations);
         assert!(stats.first_optimum_at.is_some());
         assert!(stats.lengths.iter().min().copied().unwrap() == best.length());

@@ -624,55 +624,43 @@ fn run_task_with<O: SearchObserver>(
             observer,
         ));
     }
-    match task {
-        SearchTask::Phase {
-            size,
-            alpha,
-            policy,
-        } => {
-            let scheduler = ListScheduler::new(*policy);
-            let mut driver = SearchDriver::incremental(dfg, &scheduler, resources)
-                .with_prune(Some(signal))
-                .with_budget(budget)
-                .with_objective(objective)
-                .with_observer(observer);
+    let policy = match task {
+        SearchTask::Phase { policy, .. } | SearchTask::Sweep { policy, .. } => *policy,
+        SearchTask::PanicForTest => panic!("injected test panic"),
+    };
+    let scheduler = ListScheduler::new(policy);
+    let mut driver = SearchDriver::incremental(dfg, &scheduler, resources)
+        .with_prune(Some(signal))
+        .with_budget(budget)
+        .with_objective(objective)
+        .with_observer(observer);
+    let (best, phases) = match task {
+        SearchTask::Phase { size, alpha, .. } => {
             let mut state = initial_state(dfg, &scheduler, resources)?;
             let mut best = BestSet::new(keep_best);
             let wrapped = state.wrapped_length(dfg, resources)?;
             driver.offer(&mut best, wrapped, &state);
             let stats = driver.run_phase(&mut state, &mut best, *size, *alpha)?;
-            Ok((
-                TaskRun {
-                    best,
-                    phases: vec![stats],
-                    cross_pruned: signal.lost_to_lower_task(),
-                },
-                driver.observer,
-            ))
+            (best, vec![stats])
         }
-        SearchTask::Sweep { config, policy } => {
-            let scheduler = ListScheduler::new(*policy);
-            let mut driver = SearchDriver::incremental(dfg, &scheduler, resources)
-                .with_prune(Some(signal))
-                .with_budget(budget)
-                .with_objective(objective)
-                .with_observer(observer);
+        SearchTask::Sweep { config, .. } => {
             let out = driver.heuristic2(config)?;
             let mut best = BestSet::new(config.keep_best);
             for state in out.best {
                 let _ = best.offer_owned(out.best_score, state);
             }
-            Ok((
-                TaskRun {
-                    best,
-                    phases: out.phases,
-                    cross_pruned: signal.lost_to_lower_task(),
-                },
-                driver.observer,
-            ))
+            (best, out.phases)
         }
-        SearchTask::PanicForTest => panic!("injected test panic"),
-    }
+        SearchTask::PanicForTest => unreachable!("panicked above"),
+    };
+    Ok((
+        TaskRun {
+            best,
+            phases,
+            cross_pruned: signal.lost_to_lower_task(),
+        },
+        driver.observer,
+    ))
 }
 
 /// Runs `count` independent jobs `run(0), …, run(count - 1)` on up to
@@ -783,27 +771,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rotsched_dfg::{DfgBuilder, OpKind};
-
-    fn ring(n: usize, delays: u32) -> Dfg {
-        let names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        DfgBuilder::new("ring")
-            .nodes("v", n, OpKind::Add, 1)
-            .chain(&refs)
-            .edge(&format!("v{}", n - 1), "v0", delays)
-            .build()
-            .unwrap()
-    }
-
-    fn config() -> HeuristicConfig {
-        HeuristicConfig {
-            rotations_per_phase: 16,
-            max_size: None,
-            keep_best: 8,
-            rounds: 1,
-        }
-    }
+    use crate::fixtures::{config, ring};
 
     #[test]
     fn parallel_indexed_returns_results_in_index_order() {
@@ -910,11 +878,12 @@ mod tests {
 
     #[test]
     fn portfolio_never_worsens_heuristic2() {
-        use crate::heuristics::heuristic2;
         for delays in 1..=3 {
             let g = ring(6, delays);
             let res = ResourceSet::adders_multipliers(2, 0, false);
-            let solo = heuristic2(&g, &ListScheduler::default(), &res, &config()).unwrap();
+            let solo = SearchDriver::incremental(&g, &ListScheduler::default(), &res)
+                .heuristic2(&config())
+                .unwrap();
             let p = Portfolio::standard(&g, &res, &config()).unwrap();
             let out = p.with_jobs(4).run(&g, &res).unwrap();
             assert!(out.best_length <= solo.best_length);

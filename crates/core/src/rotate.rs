@@ -275,24 +275,15 @@ pub fn initial_state(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rotsched_dfg::DfgBuilder;
-    use rotsched_dfg::OpKind;
+    use crate::fixtures::ring;
+    use rotsched_dfg::{DfgBuilder, OpKind};
     use rotsched_sched::validate::check_dag_schedule;
 
     /// A 4-node ring with two delays on the back edge — rotation can
     /// overlap the two halves.
-    fn ring() -> Dfg {
-        DfgBuilder::new("ring")
-            .nodes("v", 4, OpKind::Add, 1)
-            .chain(&["v0", "v1", "v2", "v3"])
-            .edge("v3", "v0", 2)
-            .build()
-            .unwrap()
-    }
-
     fn setup(adders: u32) -> (Dfg, ListScheduler, ResourceSet) {
         (
-            ring(),
+            ring(4, 2),
             ListScheduler::default(),
             ResourceSet::adders_multipliers(adders, 0, false),
         )
@@ -360,7 +351,7 @@ mod tests {
 
     #[test]
     fn rotatability_check_matches_property_1() {
-        let g = ring();
+        let g = ring(4, 2);
         let ids: Vec<_> = g.node_ids().collect();
         let r0 = Retiming::zero(&g);
         // v0 is a root (its only incoming edge has 2 delays).

@@ -5,8 +5,8 @@
 //! pipeline — initial schedule, individual rotations, both heuristics,
 //! depth minimization, loop expansion, and end-to-end simulation — as
 //! methods. It is the type downstream users interact with; the
-//! lower-level functions remain available for research code that wants
-//! to compose its own heuristics.
+//! [`SearchDriver`] it runs on remains available for research code that
+//! wants to compose its own heuristics.
 
 use rotsched_baselines::lower_bound;
 use rotsched_dfg::Dfg;
@@ -359,11 +359,7 @@ impl<'a> RotationScheduler<'a> {
     ///
     /// Propagates graph and scheduling failures.
     pub fn heuristic1(&self) -> Result<HeuristicOutcome, RotationError> {
-        let meter = (!self.budget.is_unlimited()).then(|| self.budget.arm());
-        SearchDriver::incremental(self.dfg, &self.scheduler, &self.resources)
-            .with_objective(self.objective)
-            .with_budget(meter.as_ref())
-            .heuristic1(&self.config)
+        self.drive(|mut driver| driver.heuristic1(&self.config))
     }
 
     /// Runs Heuristic 2 (chained phases of decreasing size) — the
@@ -373,11 +369,19 @@ impl<'a> RotationScheduler<'a> {
     ///
     /// Propagates graph and scheduling failures.
     pub fn heuristic2(&self) -> Result<HeuristicOutcome, RotationError> {
+        self.drive(|mut driver| driver.heuristic2(&self.config))
+    }
+
+    /// Runs `search` on an incremental driver carrying this facade's
+    /// objective and a freshly armed meter for its budget (none when the
+    /// budget is unlimited).
+    fn drive<T>(&self, search: impl FnOnce(SearchDriver<'_, IncrementalStep>) -> T) -> T {
         let meter = (!self.budget.is_unlimited()).then(|| self.budget.arm());
-        SearchDriver::incremental(self.dfg, &self.scheduler, &self.resources)
-            .with_objective(self.objective)
-            .with_budget(meter.as_ref())
-            .heuristic2(&self.config)
+        search(
+            SearchDriver::incremental(self.dfg, &self.scheduler, &self.resources)
+                .with_objective(self.objective)
+                .with_budget(meter.as_ref()),
+        )
     }
 
     /// Runs Heuristic 2 and packages the best schedule with its
@@ -407,24 +411,16 @@ impl<'a> RotationScheduler<'a> {
         &self,
         capacity: usize,
     ) -> Result<(SolveOutcome, SearchTrace), RotationError> {
-        let meter = (!self.budget.is_unlimited()).then(|| self.budget.arm());
-        let mut driver = SearchDriver::incremental(self.dfg, &self.scheduler, &self.resources)
-            .with_objective(self.objective)
-            .with_budget(meter.as_ref())
-            .with_observer(TraceRecorder::new(capacity));
-        let outcome = driver.heuristic2(&self.config)?;
-        let trace = SearchTrace::single(driver.observer.finish());
-        Ok((self.package_heuristic(outcome)?, trace))
+        self.drive(|driver| {
+            let mut driver = driver.with_observer(TraceRecorder::new(capacity));
+            let outcome = driver.heuristic2(&self.config)?;
+            let trace = SearchTrace::single(driver.observer.finish());
+            Ok((self.package_heuristic(outcome)?, trace))
+        })
     }
 
     fn package_heuristic(&self, outcome: HeuristicOutcome) -> Result<SolveOutcome, RotationError> {
         let bound = u32::try_from(lower_bound(self.dfg, &self.resources)?).unwrap_or(u32::MAX - 1);
-        let state = outcome
-            .best
-            .first()
-            .cloned()
-            .expect("heuristics always retain at least the initial schedule");
-        let depth = minimized_depth(self.dfg, &state)?;
         let quality = if outcome.stopped.is_some() {
             SolveQuality::BudgetExhausted
         } else if outcome.best_length <= bound {
@@ -432,21 +428,38 @@ impl<'a> RotationScheduler<'a> {
         } else {
             SolveQuality::Complete
         };
-        let stats = SolveStats {
-            total_rotations: outcome.total_rotations,
-            stopped: outcome.stopped,
-            panicked_tasks: 0,
-            lower_bound: bound,
-        };
+        self.package(outcome, quality, 0, bound)
+    }
+
+    /// Packages a finished search: its first best state with the
+    /// minimized pipeline depth, the quality verdict and the stats.
+    fn package(
+        &self,
+        outcome: HeuristicOutcome,
+        quality: SolveQuality,
+        panicked_tasks: usize,
+        lower_bound: u32,
+    ) -> Result<SolveOutcome, RotationError> {
+        let state = outcome
+            .best
+            .first()
+            .cloned()
+            .expect("a search always retains at least the initial schedule");
+        let depth = minimized_depth(self.dfg, &state)?;
         self.debug_certify(&outcome.best, quality);
         Ok(SolveOutcome {
             length: outcome.best_length,
             score: outcome.best_score,
             depth,
             state,
+            stats: SolveStats {
+                total_rotations: outcome.total_rotations,
+                stopped: outcome.stopped,
+                panicked_tasks,
+                lower_bound,
+            },
             outcome,
             quality,
-            stats,
         })
     }
 
@@ -498,10 +511,9 @@ impl<'a> RotationScheduler<'a> {
             };
             let scheduler = &schedulers[scheduler].1;
             let meter = (!spec.budget.is_unlimited()).then(|| spec.budget.arm());
-            let mut driver =
-                SearchDriver::incremental_with_step(&spec.dfg, scheduler, &spec.resources, step)
-                    .with_objective(spec.objective)
-                    .with_budget(meter.as_ref());
+            let mut driver = SearchDriver::with_step(&spec.dfg, scheduler, &spec.resources, step)
+                .with_objective(spec.objective)
+                .with_budget(meter.as_ref());
             let outcome = driver.heuristic2(&spec.config)?;
             step = driver.into_step();
             let facade = RotationScheduler {
@@ -528,11 +540,18 @@ impl<'a> RotationScheduler<'a> {
     ///
     /// Propagates graph and scheduling failures.
     pub fn portfolio(&self) -> Result<PortfolioOutcome, RotationError> {
-        Portfolio::standard(self.dfg, &self.resources, &self.config)?
-            .with_objective(self.objective)
-            .with_jobs(self.jobs)
-            .with_budget(self.budget.clone())
-            .run(self.dfg, &self.resources)
+        self.standard_portfolio()?.run(self.dfg, &self.resources)
+    }
+
+    /// The standard portfolio under this facade's objective, jobs and
+    /// budget.
+    fn standard_portfolio(&self) -> Result<Portfolio, RotationError> {
+        Ok(
+            Portfolio::standard(self.dfg, &self.resources, &self.config)?
+                .with_objective(self.objective)
+                .with_jobs(self.jobs)
+                .with_budget(self.budget.clone()),
+        )
     }
 
     /// Like [`RotationScheduler::solve`], but searches with the full
@@ -562,11 +581,9 @@ impl<'a> RotationScheduler<'a> {
         &self,
         capacity: usize,
     ) -> Result<(SolveOutcome, SearchTrace), RotationError> {
-        let (outcome, trace) = Portfolio::standard(self.dfg, &self.resources, &self.config)?
-            .with_objective(self.objective)
-            .with_jobs(self.jobs)
-            .with_budget(self.budget.clone())
-            .run_traced(self.dfg, &self.resources, capacity)?;
+        let (outcome, trace) =
+            self.standard_portfolio()?
+                .run_traced(self.dfg, &self.resources, capacity)?;
         Ok((self.package_portfolio(outcome)?, trace))
     }
 
@@ -589,12 +606,6 @@ impl<'a> RotationScheduler<'a> {
     }
 
     fn package_portfolio(&self, outcome: PortfolioOutcome) -> Result<SolveOutcome, RotationError> {
-        let state = outcome
-            .best
-            .first()
-            .cloned()
-            .expect("the portfolio always retains at least the initial schedule");
-        let depth = minimized_depth(self.dfg, &state)?;
         let quality = if outcome.panicked_tasks > 0 {
             SolveQuality::Degraded
         } else if outcome.stopped.is_some() {
@@ -604,29 +615,15 @@ impl<'a> RotationScheduler<'a> {
         } else {
             SolveQuality::Complete
         };
-        let stats = SolveStats {
+        let search = HeuristicOutcome {
+            best_length: outcome.best_length,
+            best_score: outcome.best_score,
+            best: outcome.best,
             total_rotations: outcome.total_rotations,
+            phases: outcome.phases,
             stopped: outcome.stopped,
-            panicked_tasks: outcome.panicked_tasks,
-            lower_bound: outcome.lower_bound,
         };
-        self.debug_certify(&outcome.best, quality);
-        Ok(SolveOutcome {
-            length: outcome.best_length,
-            score: outcome.best_score,
-            depth,
-            state,
-            outcome: HeuristicOutcome {
-                best_length: outcome.best_length,
-                best_score: outcome.best_score,
-                best: outcome.best,
-                total_rotations: outcome.total_rotations,
-                phases: outcome.phases,
-                stopped: outcome.stopped,
-            },
-            quality,
-            stats,
-        })
+        self.package(search, quality, outcome.panicked_tasks, outcome.lower_bound)
     }
 
     /// Debug-build safety net: every incumbent a solve is about to hand
@@ -700,20 +697,11 @@ impl<'a> RotationScheduler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rotsched_dfg::{DfgBuilder, OpKind};
-
-    fn ring() -> Dfg {
-        DfgBuilder::new("ring")
-            .nodes("v", 4, OpKind::Add, 1)
-            .chain(&["v0", "v1", "v2", "v3"])
-            .edge("v3", "v0", 2)
-            .build()
-            .unwrap()
-    }
+    use crate::fixtures::ring;
 
     #[test]
     fn solve_finds_the_iteration_bound() {
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false));
         let solved = rs.solve().unwrap();
         assert_eq!(solved.length, 2);
@@ -722,7 +710,7 @@ mod tests {
 
     #[test]
     fn verify_passes_on_the_solved_pipeline() {
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false));
         let solved = rs.solve().unwrap();
         let report = rs.verify(&solved.state, 10).unwrap();
@@ -732,7 +720,7 @@ mod tests {
 
     #[test]
     fn builder_style_configuration() {
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(1, 0, false))
             .with_policy(PriorityPolicy::PathHeight)
             .with_config(HeuristicConfig {
@@ -748,7 +736,7 @@ mod tests {
 
     #[test]
     fn solve_portfolio_matches_solve_on_easy_instances() {
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false));
         let solo = rs.solve().unwrap();
         for jobs in [1, 4] {
@@ -760,7 +748,7 @@ mod tests {
 
     #[test]
     fn solve_reports_optimal_quality_at_the_bound() {
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false));
         let solved = rs.solve().unwrap();
         assert_eq!(solved.quality, SolveQuality::Optimal);
@@ -771,7 +759,7 @@ mod tests {
 
     #[test]
     fn exhausted_budget_is_reported_and_still_yields_a_pipeline() {
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false))
             .with_budget(Budget::default().with_max_rotations(0));
         let solved = rs.solve().unwrap();
@@ -786,7 +774,7 @@ mod tests {
     #[test]
     fn injected_worker_panic_degrades_the_portfolio_solve() {
         use crate::portfolio::SearchTask;
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false));
         let mut p = Portfolio::standard(&g, rs.resources(), &HeuristicConfig::default()).unwrap();
         p.tasks.insert(0, SearchTask::PanicForTest);
@@ -800,7 +788,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_solve_matches_the_default_solve() {
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false));
         let plain = rs.solve().unwrap();
         let budgeted = rs.clone().with_budget(Budget::unlimited()).solve().unwrap();
@@ -812,7 +800,7 @@ mod tests {
 
     #[test]
     fn manual_rotation_through_the_facade() {
-        let g = ring();
+        let g = ring(4, 2);
         let rs = RotationScheduler::new(&g, ResourceSet::adders_multipliers(2, 0, false));
         let mut st = rs.initial().unwrap();
         let before = st.length(&g);

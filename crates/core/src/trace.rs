@@ -874,27 +874,17 @@ mod json {
 mod tests {
     use super::*;
     use crate::engine::SearchDriver;
+    use crate::fixtures::{config, ring};
     use crate::heuristics::HeuristicConfig;
-    use rotsched_dfg::{DfgBuilder, OpKind};
     use rotsched_sched::{ListScheduler, ResourceSet};
 
     fn traced_run() -> SearchTrace {
-        let g = DfgBuilder::new("ring")
-            .nodes("v", 6, OpKind::Add, 1)
-            .chain(&["v0", "v1", "v2", "v3", "v4", "v5"])
-            .edge("v5", "v0", 3)
-            .build()
-            .unwrap();
+        let g = ring(6, 3);
         let sched = ListScheduler::default();
         let res = ResourceSet::adders_multipliers(2, 0, false);
         let mut driver =
             SearchDriver::incremental(&g, &sched, &res).with_observer(TraceRecorder::default());
-        let config = HeuristicConfig {
-            rotations_per_phase: 16,
-            max_size: None,
-            keep_best: 8,
-            rounds: 1,
-        };
+        let config = config();
         driver.heuristic2(&config).unwrap();
         SearchTrace::single(driver.observer.finish())
     }
@@ -921,12 +911,7 @@ mod tests {
 
     #[test]
     fn counters_are_exact_even_with_a_tiny_ring() {
-        let g = DfgBuilder::new("ring")
-            .nodes("v", 5, OpKind::Add, 1)
-            .chain(&["v0", "v1", "v2", "v3", "v4"])
-            .edge("v4", "v0", 2)
-            .build()
-            .unwrap();
+        let g = ring(5, 2);
         let sched = ListScheduler::default();
         let res = ResourceSet::adders_multipliers(2, 0, false);
         let config = HeuristicConfig {

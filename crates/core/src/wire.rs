@@ -378,16 +378,10 @@ pub fn parse_problem(input: &str) -> Result<ProblemSpec, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rotsched_dfg::{DfgBuilder, OpKind};
+    use crate::fixtures::ring;
 
     fn sample_spec() -> ProblemSpec {
-        let g = DfgBuilder::new("ring")
-            .nodes("v", 4, OpKind::Add, 1)
-            .chain(&["v0", "v1", "v2", "v3"])
-            .edge("v3", "v0", 2)
-            .build()
-            .unwrap();
-        ProblemSpec::new(g, ResourceSet::adders_multipliers(2, 1, true))
+        ProblemSpec::new(ring(4, 2), ResourceSet::adders_multipliers(2, 1, true))
             .with_policy(PriorityPolicy::PathHeight)
             .with_config(HeuristicConfig {
                 rotations_per_phase: 8,

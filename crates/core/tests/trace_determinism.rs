@@ -6,8 +6,7 @@
 
 use rotsched_benchmarks::{random_dfg, RandomDfgConfig};
 use rotsched_core::{
-    heuristic2_pruned, Budget, HeuristicConfig, Portfolio, RotationScheduler, SearchDriver,
-    SearchTrace, TraceRecorder,
+    Budget, HeuristicConfig, Portfolio, RotationScheduler, SearchDriver, SearchTrace, TraceRecorder,
 };
 use rotsched_dfg::rng::SplitMix64;
 use rotsched_dfg::Dfg;
@@ -150,7 +149,9 @@ fn trajectory_replays_budgeted_runs_exactly() {
         let trace = driver.observer.finish();
         for k in 0..=full.total_rotations {
             let meter = Budget::default().with_max_rotations(k as u64).arm();
-            let budgeted = heuristic2_pruned(&g, &sched, &res, &config, None, Some(&meter))
+            let budgeted = SearchDriver::incremental(&g, &sched, &res)
+                .with_budget(Some(&meter))
+                .heuristic2(&config)
                 .expect("schedulable");
             assert_eq!(
                 trace.best_at_rotation(k as u64),

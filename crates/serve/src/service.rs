@@ -58,6 +58,7 @@ use std::sync::Arc;
 
 use rotsched_core::wire::{cache_key_text, fingerprint_text, parse_problem};
 use rotsched_core::{Objective, ProblemSpec, RotationScheduler, SolveOutcome, SolveQuality};
+use rotsched_dfg::json::push_json_str;
 
 use crate::admission::AdmissionGauge;
 use crate::cache::{CacheReport, SolveCache};
@@ -498,22 +499,6 @@ pub fn quality_status(quality: SolveQuality) -> &'static str {
     }
 }
 
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn ok_response() -> String {
     format!("{{\"schema\": \"{RESPONSE_SCHEMA}\", \"status\": \"ok\"}}")
 }
@@ -537,7 +522,7 @@ pub(crate) fn error_response(message: &str) -> String {
     out.push_str("{\"schema\": \"");
     out.push_str(RESPONSE_SCHEMA);
     out.push_str("\", \"status\": \"error\", \"message\": \"");
-    json_escape(&mut out, message);
+    push_json_str(&mut out, message);
     out.push_str("\"}");
     out
 }
@@ -588,7 +573,7 @@ fn render_solved(
             }
             first = false;
             out.push('"');
-            json_escape(&mut out, node.name());
+            push_json_str(&mut out, node.name());
             out.push_str("\": ");
             out.push_str(&start.to_string());
         }
@@ -601,7 +586,7 @@ fn render_solved(
         }
         first = false;
         out.push('"');
-        json_escape(&mut out, node.name());
+        push_json_str(&mut out, node.name());
         out.push_str("\": ");
         out.push_str(&kernel.retiming().of(id).to_string());
     }

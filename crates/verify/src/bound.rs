@@ -16,6 +16,8 @@
 
 use rotsched_dfg::Dfg;
 
+use crate::lint::kahn_zero_delay;
+
 /// Whether some cycle proves every legal kernel is at least `min_length`
 /// steps long — i.e. there is a cycle with `Σt > (min_length − 1)·Σd`.
 ///
@@ -31,7 +33,7 @@ pub fn recurrence_forces(dfg: &Dfg, min_length: u32) -> bool {
     if min_length == 1 {
         return dfg.node_count() > 0;
     }
-    exists_positive_cycle(dfg, i128::from(min_length) - 1)
+    has_zero_delay_cycle(dfg) || exists_positive_cycle(dfg, i128::from(min_length) - 1)
 }
 
 /// The recurrence lower bound: the smallest `L ≥ 1` not excluded by any
@@ -51,19 +53,26 @@ pub fn recurrence_bound(dfg: &Dfg) -> Option<u32> {
     // every cycle that has any), so the bound, if it exists, is ≤ that.
     let hi = u32::try_from(dfg.total_time().min(u64::from(u32::MAX) - 1)).unwrap_or(u32::MAX - 1);
     let (mut lo, mut hi) = (1_u32, hi.max(1));
-    if recurrence_forces(dfg, hi + 1) {
-        return None; // zero-delay cycle: every length excluded
+    // A zero-delay cycle excludes every length, even when its nodes take
+    // no time and so never make a cycle positive.
+    if has_zero_delay_cycle(dfg) || exists_positive_cycle(dfg, i128::from(hi)) {
+        return None;
     }
     // Invariant: !forces(hi + 1), forces(lo).
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if recurrence_forces(dfg, mid + 1) {
+        if exists_positive_cycle(dfg, i128::from(mid)) {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
     Some(lo)
+}
+
+/// Whether some cycle consists of zero-delay edges only.
+fn has_zero_delay_cycle(dfg: &Dfg) -> bool {
+    !kahn_zero_delay(dfg, true).iter().all(|&ordered| ordered)
 }
 
 /// Bellman–Ford probe: is there a cycle with positive total weight under
@@ -166,6 +175,17 @@ mod tests {
         g.add_edge(b, a, 0).unwrap();
         assert_eq!(recurrence_bound(&g), None);
         assert!(recurrence_forces(&g, 1_000_000));
+    }
+
+    #[test]
+    fn zero_time_zero_delay_cycle_excludes_everything() {
+        let mut g = Dfg::new("bad");
+        let a = g.add_node("a", OpKind::Add, 0);
+        let b = g.add_node("b", OpKind::Add, 0);
+        g.add_edge(a, b, 0).unwrap();
+        g.add_edge(b, a, 0).unwrap();
+        assert_eq!(recurrence_bound(&g), None);
+        assert!(recurrence_forces(&g, 2));
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use core::fmt;
 
+use rotsched_dfg::json::push_json_str;
 use rotsched_dfg::{Dfg, NodeId};
 
 /// Stable diagnostic codes. The numeric part is frozen: a code, once
@@ -430,17 +431,7 @@ fn node_label(dfg: &Dfg, v: NodeId) -> String {
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_json_str(&mut out, s);
     out.push('"');
     out
 }
@@ -516,7 +507,8 @@ mod tests {
     }
 
     #[test]
-    fn json_is_escaped_and_ordered() {
+    fn json_fields_are_ordered_and_escaped() {
+        // The character map itself is tested in `rotsched_dfg::json`.
         let g = graph();
         let d = Diagnostic::new(
             Code::ZeroTimeNode,
@@ -526,8 +518,8 @@ mod tests {
         .with_hint("set time >= 1");
         let json = d.render_json(&g);
         assert!(json.starts_with("{\"code\":\"E002\",\"severity\":\"error\",\"locus\":"));
-        assert!(json.contains("\\\"zero\\\""));
-        assert!(json.contains("\"hint\":\"set time >= 1\""));
+        assert!(json.contains(",\"message\":\"has \\\"zero\\\" time\",\"hint\":"));
+        assert!(json.ends_with("\"hint\":\"set time >= 1\"}"));
     }
 
     #[test]

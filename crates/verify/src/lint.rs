@@ -193,7 +193,7 @@ fn pass_edge_delays(dfg: &Dfg, _ctx: &LintContext<'_>, out: &mut Vec<Diagnostic>
 
 /// Kahn's algorithm over the zero-delay subgraph in the given direction;
 /// returns which nodes were ordered (the rest lie on or behind a cycle).
-fn kahn_zero_delay(dfg: &Dfg, forward: bool) -> Vec<bool> {
+pub(crate) fn kahn_zero_delay(dfg: &Dfg, forward: bool) -> Vec<bool> {
     let n = dfg.node_count();
     let mut degree = vec![0_usize; n];
     for (_, edge) in dfg.edges() {

@@ -4,12 +4,11 @@
 //! scheduling code with the solver).
 
 use rotsched::core::depth::into_loop_schedule;
-use rotsched::core::heuristics::{heuristic1, heuristic2, HeuristicConfig};
 use rotsched::sched::{verify_spec, verify_starts};
 use rotsched::verify::{certify_claim, certify_pipeline, expand, Claim};
 use rotsched::{
-    all_benchmarks, diffeq, Budget, Dfg, ListScheduler, PriorityPolicy, ResourceSet,
-    RotationScheduler, SolveQuality, TimingModel,
+    all_benchmarks, diffeq, Budget, Dfg, PriorityPolicy, ResourceSet, RotationScheduler,
+    SolveQuality, TimingModel,
 };
 
 const POLICIES: [PriorityPolicy; 4] = [
@@ -69,17 +68,11 @@ fn all_policies_certify_on_diffeq() {
 fn both_heuristics_certify_on_diffeq() {
     let graph = diffeq(&TimingModel::paper());
     let resources = ResourceSet::adders_multipliers(1, 2, false);
-    let config = HeuristicConfig::default();
     let spec = verify_spec(&resources);
+    let solver = RotationScheduler::new(&graph, resources.clone());
     for (name, outcome) in [
-        (
-            "heuristic1",
-            heuristic1(&graph, &ListScheduler::default(), &resources, &config).expect("h1"),
-        ),
-        (
-            "heuristic2",
-            heuristic2(&graph, &ListScheduler::default(), &resources, &config).expect("h2"),
-        ),
+        ("heuristic1", solver.heuristic1().expect("h1")),
+        ("heuristic2", solver.heuristic2().expect("h2")),
     ] {
         for (i, state) in outcome.best.iter().enumerate() {
             let kernel = into_loop_schedule(&graph, &resources, state).expect("expands");
